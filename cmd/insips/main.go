@@ -53,7 +53,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/evalbackend"
 	"repro/internal/ga"
-	"repro/internal/island"
 	"repro/internal/netcluster"
 	"repro/internal/obs"
 	"repro/internal/pipe"
@@ -108,8 +107,8 @@ func main() {
 		workers  = flag.Int("workers", 2, "worker processes")
 		threads  = flag.Int("threads", 2, "threads per worker")
 		shards   = flag.Int("shards", 1, "shard evaluation over this many work-stealing in-process pools (1 = one pool)")
-		islands  = flag.Int("islands", 0, "run the multi-rack island model with this many masters (0 = single master)")
-		syncIv   = flag.Int("sync-interval", 1, "island mode: generations between master syncs")
+		islands  = flag.Int("islands", 0, "run the paper's multi-rack island model: this many islands of -strategy with ring migration (0 or 1 = one population)")
+		syncIv   = flag.Int("sync-interval", 1, "island mode: generations between island syncs")
 		progress = flag.Int("progress", 25, "print progress every N generations (0 = quiet)")
 
 		surrogate   = flag.Bool("surrogate", false, "triage each generation through the online surrogate pre-scorer; only the predicted top candidates get full PIPE evaluations")
@@ -205,9 +204,6 @@ func main() {
 	if *shards > 1 && *listenAddr != "" {
 		log.Fatal("-shards shards over in-process pools and cannot be combined with -listen (TCP workers)")
 	}
-	if *shards > 1 && *islands > 1 {
-		log.Fatal("-shards cannot be combined with -islands (each island already owns its own pool)")
-	}
 	if *fallback && *listenAddr == "" && *shards <= 1 {
 		log.Fatal("-fallback-local requires -listen or -shards > 1: it recovers tasks those backends abandon, and a single local pool has nothing to fall back from")
 	}
@@ -226,11 +222,9 @@ func main() {
 	}
 	// Strategy flags fail fast the same way: tuning knobs for a strategy
 	// that is not selected are almost certainly operator error.
-	searchCfg := search.Config{Strategy: *strategy}
-	switch *strategy {
-	case search.StrategyGA, search.StrategyBeam, search.StrategyAnneal, search.StrategyLandscape:
-	default:
-		log.Fatalf("-strategy must be one of %v (got %q)", search.Strategies(), *strategy)
+	searchCfg := search.Config{
+		Strategy: *strategy,
+		Islands:  search.IslandConfig{Count: *islands, SyncInterval: *syncIv},
 	}
 	if *strategy != search.StrategyBeam && (*beamWidth != 8 || *beamExpand != 6 || *beamElite != 6 || *beamDepth != 0) {
 		log.Fatal("-beam-width/-beam-expand/-beam-elite-extra/-beam-depth require -strategy beam")
@@ -240,9 +234,6 @@ func main() {
 	}
 	if *strategy != search.StrategyLandscape && (*landEps != 0.01 || *landPat != 20) {
 		log.Fatal("-landscape-eps/-landscape-patience require -strategy landscape")
-	}
-	if *islands > 1 && *strategy != search.StrategyGA {
-		log.Fatalf("-islands drives the genetic algorithm directly and cannot be combined with -strategy %s", *strategy)
 	}
 	switch *strategy {
 	case search.StrategyBeam:
@@ -255,6 +246,9 @@ func main() {
 		searchCfg.Anneal = search.AnnealConfig{T0: *annealT0, Cooling: *annealCool, TMin: *annealTMin}
 	case search.StrategyLandscape:
 		searchCfg.Landscape = search.LandscapeConfig{Eps: *landEps, Patience: *landPat}
+	}
+	if err := searchCfg.Validate(); err != nil {
+		log.Fatal(err)
 	}
 
 	if *winCache < 0 {
@@ -338,11 +332,8 @@ func main() {
 	if *resume && *journalDir == "" {
 		log.Fatal("-resume requires -journal DIR (the directory holding the checkpoint)")
 	}
-	if *resume && *islands > 1 {
-		log.Fatal("-resume cannot be combined with -islands (the island model has no checkpoint path)")
-	}
 	var journal *obs.RunJournal
-	if *journalDir != "" && *islands <= 1 {
+	if *journalDir != "" {
 		var err error
 		journal, err = obs.OpenJournal(*journalDir, obs.JournalOptions{CheckpointEvery: *ckptEvery, Logger: logger})
 		if err != nil {
@@ -371,9 +362,6 @@ func main() {
 		}
 	}
 	if *surrogate {
-		if *islands > 1 {
-			log.Fatal("-surrogate cannot be combined with -islands (each island evaluates independently; the shared model would break island determinism)")
-		}
 		if *surrTopK <= 0 || *surrTopK > 1 || *surrExplore < 0 || *surrExplore > 1 {
 			log.Fatal("-surrogate-topk must be in (0,1] and -surrogate-explore in [0,1]")
 		}
@@ -391,11 +379,8 @@ func main() {
 	}
 	var sharded *evalbackend.Sharded
 	if *shards > 1 {
-		shardBackends := make([]evalbackend.Backend, *shards)
-		for i := range shardBackends {
-			shardBackends[i] = localPool()
-		}
-		sh, err := evalbackend.NewSharded(shardBackends...)
+		sh, err := evalbackend.NewShardedPools(engine, targetID, ntIDs,
+			cluster.Config{Workers: *workers, ThreadsPerWorker: *threads, Metrics: metrics}, *shards)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -410,9 +395,6 @@ func main() {
 	}
 	var master *netcluster.Master
 	if *listenAddr != "" {
-		if *islands > 1 {
-			log.Fatal("-listen (TCP workers) cannot be combined with -islands; islands evaluate on in-process pools")
-		}
 		ln, err := net.Listen("tcp", *listenAddr)
 		if err != nil {
 			log.Fatal(err)
@@ -461,62 +443,9 @@ func main() {
 		}
 	}
 	// Interrupting a run (SIGINT/SIGTERM) stops it cleanly; a journaled
-	// single-population run checkpoints so it can resume with -resume.
+	// run checkpoints so it can resume with -resume.
 	runCtx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
-	if *islands > 1 {
-		// Multi-rack mode (paper Section 3.2): one master per rack,
-		// syncing after each round.
-		icfg := island.Config{
-			Islands:      *islands,
-			SyncInterval: *syncIv,
-			Generations:  *maxGens,
-			Cluster:      cluster.Config{Workers: *workers, ThreadsPerWorker: *threads},
-			Logger:       logger,
-			Metrics:      metrics,
-		}
-		if *journalDir != "" {
-			// One journal per island under DIR/island-<k>; the island
-			// model has no checkpoint path, so cadence is disabled.
-			journals := make([]*obs.RunJournal, *islands)
-			for k := range journals {
-				j, err := obs.OpenJournal(filepath.Join(*journalDir, fmt.Sprintf("island-%d", k)),
-					obs.JournalOptions{CheckpointEvery: -1, Logger: logger})
-				if err != nil {
-					log.Fatal(err)
-				}
-				defer j.Close()
-				journals[k] = j
-			}
-			icfg.Journals = journals
-		}
-		if *progress > 0 {
-			icfg.OnGeneration = func(gen int, best []float64) {
-				if gen%*progress == 0 {
-					log.Printf("gen %4d: island bests %.4f", gen, best)
-				}
-			}
-		}
-		ires, err := island.Run(runCtx,
-			core.Problem{Engine: engine, TargetID: targetID, NonTargetIDs: ntIDs},
-			opts.GA, icfg)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("island model: %d masters, %d syncs, best from island %d\n",
-			*islands, ires.Migrations, ires.BestIsland)
-		fmt.Printf("fitness            %.4f\n", ires.Best.Fitness)
-		designed := ires.Best.Seq.WithName("anti-" + *targetName)
-		if *outPath != "" {
-			if err := saveFASTA(*outPath, designed); err != nil {
-				log.Fatal(err)
-			}
-			fmt.Printf("wrote %s\n", *outPath)
-		} else {
-			fmt.Printf("sequence: %s\n", designed.Residues())
-		}
-		return
-	}
 	designer, err := core.NewDesigner(core.Problem{
 		Engine: engine, TargetID: targetID, NonTargetIDs: ntIDs,
 	}, opts)

@@ -181,7 +181,9 @@ func main() {
 		}()
 	}
 
-	httpServer := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	// Clients get 10 s to send their request headers. There is no write
+	// timeout, because SSE progress streams stay open for a whole run.
+	httpServer := &http.Server{Addr: *addr, Handler: srv.Handler(), ReadHeaderTimeout: 10 * time.Second}
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
 	go func() {

@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
+	"slices"
 	"time"
 
 	"repro/internal/cluster"
@@ -36,6 +37,16 @@ import (
 // which case fitness equals the target score.
 func Fitness(targetScore float64, nonTargetScores []float64) float64 {
 	return (1 - MaxScore(nonTargetScores)) * targetScore
+}
+
+// minScore returns the minimum of first and rest.
+func minScore(first float64, rest []float64) float64 {
+	for _, s := range rest {
+		if s < first {
+			first = s
+		}
+	}
+	return first
 }
 
 // MaxScore returns the maximum of scores, or 0 for an empty slice.
@@ -101,6 +112,35 @@ type Problem struct {
 	Engine       *pipe.Engine
 	TargetID     int
 	NonTargetIDs []int
+	// ExtraTargetIDs, if non-empty, makes the problem multi-target: the
+	// design must bind TargetID and every extra target, and fitness
+	// takes the weakest target link (see DesignMulti).
+	ExtraTargetIDs []int
+}
+
+// WireNonTargetIDs returns the non-target list candidates are scored
+// against on the wire: the extra targets first, then the non-targets.
+// A caller-supplied Options.Backend (a netcluster master, a sharded
+// pool) must be built for TargetID and this list.
+func (p Problem) WireNonTargetIDs() []int {
+	if len(p.ExtraTargetIDs) == 0 {
+		return p.NonTargetIDs
+	}
+	return append(append([]int(nil), p.ExtraTargetIDs...), p.NonTargetIDs...)
+}
+
+// fingerprint keys the fitness cache and checkpoint compatibility. A
+// single-target problem keeps ProblemFingerprint; a multi-target one
+// also hashes its target count, so it never shares checkpoints with
+// the single-target problem of the same wire layout.
+func (p Problem) fingerprint() uint64 {
+	fp := ProblemFingerprint(p.Engine, p.TargetID, p.WireNonTargetIDs())
+	if len(p.ExtraTargetIDs) == 0 {
+		return fp
+	}
+	h := fnv.New64a()
+	fmt.Fprintf(h, "%016x;targets:%d", fp, 1+len(p.ExtraTargetIDs))
+	return h.Sum64()
 }
 
 // Options configures a design run.
@@ -127,13 +167,6 @@ type Options struct {
 	// backend abandoned) scores zero fitness for that generation; a
 	// call-level error aborts the run with a partial Result.
 	Backend evalbackend.Backend
-	// Evaluate, if non-nil, replaces the in-process pool as the
-	// fitness-evaluation backend. It must return one Result per
-	// candidate, indexed like seqs; error semantics match Backend.
-	//
-	// Deprecated: set Backend instead (Evaluate is wrapped in
-	// evalbackend.Func and ignored when Backend is non-nil).
-	Evaluate func(seqs []seq.Sequence) ([]cluster.Result, error)
 	// WarmStart seeds the initial population with chimeras spliced from
 	// random natural-protein fragments instead of uniform random
 	// sequences. The paper notes "any set of protein sequences can be
@@ -207,27 +240,11 @@ type Designer struct {
 	evalErr error           // first evaluation backend failure, surfaced by RunContext
 	used    bool            // a Designer drives at most one run
 
-	// Per-generation evaluation accounting for the run journal,
-	// refreshed by evaluateAll (derived from backend Stats deltas).
-	genEvaluated   int
-	genCacheHits   int
-	genAbandoned   int
-	genPopulation  int
-	genEstimated   int
-	genSurrTrained int
-	genSurrMAE     float64
-	genStolen      int
-	genHedgedWins  int
-	genEvalWall    time.Duration
-	genMinFit      float64
-	genPopHash     string
-
-	// Window-cache / delta-preprocessing accounting (engine counter
-	// deltas around the evaluation call).
-	genWinHits      int64
-	genWinMisses    int64
-	genWinEvicted   int64
-	genDeltaQueries int64
+	// rec is the current generation's journal record as evaluateAll
+	// leaves it: the evaluation accounting, derived from backend Stats
+	// and engine counter deltas around the call. recordGeneration adds
+	// the searcher's statistics.
+	rec obs.GenerationRecord
 }
 
 // NewDesigner validates the problem and wires the GA to the master/worker
@@ -236,28 +253,32 @@ func NewDesigner(problem Problem, opts Options) (*Designer, error) {
 	if problem.Engine == nil {
 		return nil, fmt.Errorf("core: nil PIPE engine")
 	}
-	// Always construct the in-process pool: it validates the problem's
-	// target/non-target IDs (for every backend) and costs nothing at
-	// rest.
-	pool, err := cluster.New(problem.Engine, problem.TargetID, problem.NonTargetIDs, opts.Cluster)
+	for _, nt := range problem.NonTargetIDs {
+		if slices.Contains(problem.ExtraTargetIDs, nt) {
+			return nil, fmt.Errorf("core: protein %d is both target and non-target", nt)
+		}
+	}
+	if opts.Surrogate != nil && len(problem.ExtraTargetIDs) > 0 {
+		return nil, fmt.Errorf("core: the surrogate ranks candidates by single-target fitness and cannot triage a multi-target problem")
+	}
+	// Always construct the in-process pool over the wire layout: it
+	// validates the problem's protein IDs (for every backend; an extra
+	// target equal to TargetID fails as a non-target) and costs nothing
+	// at rest.
+	pool, err := cluster.New(problem.Engine, problem.TargetID, problem.WireNonTargetIDs(), opts.Cluster)
 	if err != nil {
 		return nil, err
 	}
 	d := &Designer{problem: problem, opts: opts, runCtx: context.Background()}
 	// The fingerprint keys both the fitness memo cache and checkpoint
 	// compatibility checks, so compute it regardless of caching.
-	d.problemFP = ProblemFingerprint(problem.Engine, problem.TargetID, problem.NonTargetIDs)
-	// Assemble the evaluation chain: leaf backend (caller-supplied, the
-	// deprecated Evaluate hook, or the in-process pool), then the
-	// metrics span/timing layer, then — outermost — the fitness memo
-	// cache so hits skip evaluation and timing alike.
-	var base evalbackend.Backend
-	switch {
-	case opts.Backend != nil:
-		base = opts.Backend
-	case opts.Evaluate != nil:
-		base = evalbackend.Func(opts.Evaluate)
-	default:
+	d.problemFP = problem.fingerprint()
+	// Assemble the evaluation chain: leaf backend (caller-supplied or
+	// the in-process pool), then the metrics span/timing layer, then —
+	// outermost — the fitness memo cache so hits skip evaluation and
+	// timing alike.
+	base := opts.Backend
+	if base == nil {
 		base = evalbackend.WrapPool(pool)
 	}
 	d.backend = evalbackend.WithMetrics(base, opts.Logger, opts.Metrics)
@@ -293,6 +314,15 @@ func NewDesigner(problem Problem, opts Options) (*Designer, error) {
 // value stamped into checkpoints and verified on resume.
 func (d *Designer) ProblemFP() uint64 { return d.problemFP }
 
+// islands returns the island count stamped into checkpoints: 0 for one
+// population.
+func (d *Designer) islands() int {
+	if !d.opts.Search.Islands.Enabled() {
+		return 0
+	}
+	return d.opts.Search.Islands.Count
+}
+
 // Population returns the current (not yet evaluated) candidate batch.
 // The slice is owned by the searcher; treat it as read-only.
 func (d *Designer) Population() []ga.Individual { return d.searcher.Population() }
@@ -311,19 +341,13 @@ func (d *Designer) Strategy() string { return d.searcher.Strategy() }
 func (d *Designer) evaluateAll(seqs []seq.Sequence) []float64 {
 	fits := make([]float64, len(seqs))
 	d.details = make([]Detail, len(seqs))
-	d.genPopHash = PopulationHash(seqs)
-	d.genPopulation = len(seqs)
-	d.genEvaluated, d.genCacheHits, d.genAbandoned, d.genEvalWall = 0, 0, 0, 0
-	d.genEstimated, d.genSurrTrained, d.genSurrMAE = 0, 0, 0
-	d.genStolen, d.genHedgedWins = 0, 0
+	d.rec = obs.GenerationRecord{PopHash: PopulationHash(seqs), Population: len(seqs)}
 	defer func() {
-		min := 0.0
 		for i, f := range fits {
-			if i == 0 || f < min {
-				min = f
+			if i == 0 || f < d.rec.MinFitness {
+				d.rec.MinFitness = f
 			}
 		}
-		d.genMinFit = min
 	}()
 	// Attach generation ancestry so the in-process pool's batched
 	// preprocessing can build children incrementally from their parents.
@@ -341,27 +365,36 @@ func (d *Designer) evaluateAll(seqs []seq.Sequence) []float64 {
 	post := d.backend.Stats()
 	wcPost := d.problem.Engine.WindowCacheStats()
 	dqPost, _ := d.problem.Engine.DeltaStats()
-	d.genWinHits = wcPost.Hits - wcPre.Hits
-	d.genWinMisses = wcPost.Misses - wcPre.Misses
-	d.genWinEvicted = wcPost.Evicted - wcPre.Evicted
-	d.genDeltaQueries = dqPost - dqPre
+	rec := &d.rec
+	rec.WinCacheHits = wcPost.Hits - wcPre.Hits
+	rec.WinCacheMisses = wcPost.Misses - wcPre.Misses
+	rec.WinCacheEvicted = wcPost.Evicted - wcPre.Evicted
+	rec.DeltaQueries = dqPost - dqPre
 	// Hedged duplicates are scored twice (primary and hedge copy) but
 	// answer one candidate; subtracting the stale copies keeps the
 	// journal identity evaluated + cache_hits + abandoned + estimated ==
 	// population exact under hedging.
-	d.genEvaluated = int((post.Tasks - pre.Tasks) - (post.HedgedStale - pre.HedgedStale))
-	d.genCacheHits = int(post.CacheHits - pre.CacheHits)
-	d.genStolen = int(post.StolenBatches - pre.StolenBatches)
-	d.genHedgedWins = int(post.HedgedWins - pre.HedgedWins)
-	d.genEvalWall = time.Duration(post.EvalWallNS - pre.EvalWallNS)
-	d.genEstimated = int(post.SurrogateEstimated - pre.SurrogateEstimated)
-	d.genSurrTrained = int(post.SurrogateTrained - pre.SurrogateTrained)
+	rec.Evaluated = int((post.Tasks - pre.Tasks) - (post.HedgedStale - pre.HedgedStale))
+	rec.CacheHits = int(post.CacheHits - pre.CacheHits)
+	rec.StolenBatches = int(post.StolenBatches - pre.StolenBatches)
+	rec.HedgedWins = int(post.HedgedWins - pre.HedgedWins)
+	rec.EvalWallMS = float64(time.Duration(post.EvalWallNS-pre.EvalWallNS)) / float64(time.Millisecond)
+	rec.SurrogateEstimated = int(post.SurrogateEstimated - pre.SurrogateEstimated)
+	rec.SurrogateTrained = int(post.SurrogateTrained - pre.SurrogateTrained)
 	if post.SurrogateTrained > 0 {
 		// Cumulative prequential MAE of the model so far, in fitness units.
-		d.genSurrMAE = float64(post.SurrogateErrMicro) / 1e6 / float64(post.SurrogateTrained)
+		rec.SurrogateMAE = float64(post.SurrogateErrMicro) / 1e6 / float64(post.SurrogateTrained)
 	}
 	if err == nil && len(results) != len(seqs) {
 		err = fmt.Errorf("core: evaluation backend returned %d results for %d candidates", len(results), len(seqs))
+	}
+	for i := 0; err == nil && i < len(results); i++ {
+		// A backend built for the single-target layout of a multi-target
+		// problem lacks the extra targets' scores.
+		if r := results[i]; r.Err == nil && len(r.NonTargetScores) < len(d.problem.ExtraTargetIDs) {
+			err = fmt.Errorf("core: evaluation backend scored %d non-targets; the multi-target wire layout starts with %d extra targets",
+				len(r.NonTargetScores), len(d.problem.ExtraTargetIDs))
+		}
 	}
 	if err != nil {
 		if d.evalErr == nil {
@@ -377,23 +410,33 @@ func (d *Designer) evaluateAll(seqs []seq.Sequence) []float64 {
 			// end rather than sinking the generation. Abandonment is not
 			// deterministic, so the cache middleware never memoizes it.
 			d.details[i] = Detail{}
-			d.genAbandoned++
+			rec.AbandonedTasks++
 			continue
 		}
-		det := Detail{
-			Target:       r.TargetScore,
-			MaxNonTarget: MaxScore(r.NonTargetScores),
-			AvgNonTarget: MeanScore(r.NonTargetScores),
-		}
-		det.Fitness = Fitness(r.TargetScore, r.NonTargetScores)
-		d.details[i] = det
-		fits[i] = det.Fitness
+		d.details[i] = d.detail(r)
+		fits[i] = d.details[i].Fitness
 	}
-	if d.genAbandoned > 0 {
+	if rec.AbandonedTasks > 0 {
 		d.opts.Logger.Warn("evaluation tasks abandoned; scoring zero fitness",
-			"abandoned", d.genAbandoned, "candidates", len(seqs))
+			"abandoned", rec.AbandonedTasks, "candidates", len(seqs))
 	}
 	return fits
+}
+
+// detail scores one candidate with the one InSiPS formula,
+// (1 - MAX(non-targets)) * MIN(targets), splitting the wire profile into
+// the leading extra targets and the true non-targets. With one target
+// it is Fitness exactly.
+func (d *Designer) detail(r cluster.Result) Detail {
+	extra := len(d.problem.ExtraTargetIDs)
+	nts := r.NonTargetScores[extra:]
+	det := Detail{
+		Target:       minScore(r.TargetScore, r.NonTargetScores[:extra]),
+		MaxNonTarget: MaxScore(nts),
+		AvgNonTarget: MeanScore(nts),
+	}
+	det.Fitness = (1 - det.MaxNonTarget) * det.Target
+	return det
 }
 
 // NaturalFragmentPopulation builds n chimeric sequences of the given
@@ -504,6 +547,10 @@ func (d *Designer) ResumeContext(ctx context.Context, cp obs.Checkpoint) (Result
 		return Result{}, fmt.Errorf("core: checkpoint was written by strategy %q, designer runs %q",
 			cpStrategy, d.searcher.Strategy())
 	}
+	if islands := d.islands(); cp.Islands != islands {
+		return Result{}, fmt.Errorf("core: checkpoint was written by a run of %d islands, designer runs %d (0 = one population)",
+			cp.Islands, islands)
+	}
 	if cp.PopulationSize != d.searcher.PopulationSize() {
 		return Result{}, fmt.Errorf("core: checkpoint population %d, designer uses %d",
 			cp.PopulationSize, d.searcher.PopulationSize())
@@ -566,7 +613,8 @@ func (d *Designer) runLoop(ctx context.Context, curve []CurvePoint, bestDetail D
 		}
 	}
 	endRun := d.opts.Logger.Span("run",
-		"target", d.problem.TargetID, "non_targets", len(d.problem.NonTargetIDs),
+		"target", d.problem.TargetID, "extra_targets", len(d.problem.ExtraTargetIDs),
+		"non_targets", len(d.problem.NonTargetIDs),
 		"strategy", d.searcher.Strategy(), "start_generation", d.searcher.Generation())
 	for {
 		if err := ctx.Err(); err != nil {
@@ -617,36 +665,15 @@ func (d *Designer) recordGeneration(st ga.Stats, cp CurvePoint, curve []CurvePoi
 	if d.opts.Journal == nil && d.opts.OnJournalRecord == nil {
 		return
 	}
-	rec := obs.GenerationRecord{
-		Generation:         st.Generation,
-		TimeUnixMS:         time.Now().UnixMilli(),
-		Strategy:           d.searcher.Strategy(),
-		StrategyCounters:   d.searcher.Counters(),
-		BestFitness:        st.Best,
-		MeanFitness:        st.Mean,
-		MinFitness:         d.genMinFit,
-		Target:             cp.Target,
-		MaxNonTarget:       cp.MaxNonTarget,
-		AvgNonTarget:       cp.AvgNonTarget,
-		BestEverFitness:    st.BestEver,
-		NewBest:            st.NewBestFound,
-		PopHash:            d.genPopHash,
-		Evaluated:          d.genEvaluated,
-		CacheHits:          d.genCacheHits,
-		AbandonedTasks:     d.genAbandoned,
-		Population:         d.genPopulation,
-		SurrogateEstimated: d.genEstimated,
-		SurrogateTrained:   d.genSurrTrained,
-		SurrogateMAE:       d.genSurrMAE,
-		StolenBatches:      d.genStolen,
-		HedgedWins:         d.genHedgedWins,
-		WinCacheHits:       d.genWinHits,
-		WinCacheMisses:     d.genWinMisses,
-		WinCacheEvicted:    d.genWinEvicted,
-		DeltaQueries:       d.genDeltaQueries,
-		EvalWallMS:         float64(d.genEvalWall) / float64(time.Millisecond),
-		GenWallMS:          float64(genWall) / float64(time.Millisecond),
-	}
+	rec := d.rec
+	rec.Generation = st.Generation
+	rec.TimeUnixMS = time.Now().UnixMilli()
+	rec.Strategy = d.searcher.Strategy()
+	rec.StrategyCounters = d.searcher.Counters()
+	rec.BestFitness, rec.MeanFitness = st.Best, st.Mean
+	rec.Target, rec.MaxNonTarget, rec.AvgNonTarget = cp.Target, cp.MaxNonTarget, cp.AvgNonTarget
+	rec.BestEverFitness, rec.NewBest = st.BestEver, st.NewBestFound
+	rec.GenWallMS = float64(genWall) / float64(time.Millisecond)
 	// Checkpoint on cadence and always after the final generation, so a
 	// finished run's directory holds its terminal state.
 	if d.opts.Journal != nil && (final || d.opts.Journal.ShouldCheckpoint(d.searcher.Generation())) {
@@ -684,6 +711,7 @@ func (d *Designer) writeCheckpoint(curve []CurvePoint, bestDetail Detail) bool {
 		GASeed:         d.opts.GA.Seed,
 		Strategy:       d.searcher.Strategy(),
 		SearchState:    state,
+		Islands:        d.islands(),
 		PopulationSize: d.searcher.PopulationSize(),
 		Generation:     d.searcher.Generation(),
 		BestEverGen:    bestGen,

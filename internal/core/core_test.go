@@ -334,9 +334,20 @@ func TestDesignImproves(t *testing.T) {
 	}
 }
 
-// TestEvaluateHookMatchesInProcessPool: plugging an external Evaluate
-// backend in must not change the design outcome — the GA sees the same
-// scores either way.
+// funcBackend is a function-backed fake evaluation backend.
+type funcBackend func(seqs []seq.Sequence) ([]cluster.Result, error)
+
+func (f funcBackend) EvaluateAll(_ context.Context, seqs []seq.Sequence) ([]cluster.Result, error) {
+	return f(seqs)
+}
+
+func (f funcBackend) Stats() evalbackend.Stats { return evalbackend.Stats{} }
+
+func (f funcBackend) Close() error { return nil }
+
+// TestEvaluateHookMatchesInProcessPool: plugging an external backend in
+// must not change the design outcome — the GA sees the same scores
+// either way.
 func TestEvaluateHookMatchesInProcessPool(t *testing.T) {
 	_, eng := setup(t)
 	ref, err := Design(eng, 0, []int{1, 2}, designOpts(30, 8, 5))
@@ -350,19 +361,68 @@ func TestEvaluateHookMatchesInProcessPool(t *testing.T) {
 		t.Fatal(err)
 	}
 	calls := 0
-	hooked.Evaluate = func(seqs []seq.Sequence) ([]cluster.Result, error) {
+	hooked.Backend = funcBackend(func(seqs []seq.Sequence) ([]cluster.Result, error) {
 		calls++
 		return pool.EvaluateAll(seqs), nil
-	}
+	})
 	got, err := Design(eng, 0, []int{1, 2}, hooked)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if calls == 0 {
-		t.Fatal("Evaluate backend never called")
+		t.Fatal("backend never called")
 	}
 	if got.Best.Residues() != ref.Best.Residues() || got.BestDetail != ref.BestDetail {
-		t.Error("Evaluate backend changed the design outcome")
+		t.Error("backend changed the design outcome")
+	}
+}
+
+// TestRunLoopDefaultCap: with no termination criterion the loop stops
+// at its default cap of 100 generations, observing each one.
+func TestRunLoopDefaultCap(t *testing.T) {
+	_, eng := setup(t)
+	opts := designOpts(4, 0, 1)
+	opts.GA.SeqLen = 30
+	opts.Termination = ga.Termination{}
+	opts.Backend = funcBackend(func(seqs []seq.Sequence) ([]cluster.Result, error) {
+		results := make([]cluster.Result, len(seqs))
+		for i := range results {
+			results[i] = cluster.Result{Index: i, TargetScore: 0.5}
+		}
+		return results, nil
+	})
+	calls := 0
+	opts.OnGeneration = func(CurvePoint) { calls++ }
+	res, err := Design(eng, 0, []int{1}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Generations != 100 || calls != 100 || len(res.Curve) != 100 {
+		t.Errorf("default cap ran %d generations, observed %d, curve %d; want 100",
+			res.Generations, calls, len(res.Curve))
+	}
+}
+
+// TestRunLoopCallback: OnGeneration observes every generation the loop
+// runs, in order, and nothing more.
+func TestRunLoopCallback(t *testing.T) {
+	_, eng := setup(t)
+	opts := designOpts(6, 7, 1)
+	opts.GA.SeqLen = 30
+	var gens []int
+	opts.OnGeneration = func(p CurvePoint) { gens = append(gens, p.Generation) }
+	res, err := Design(eng, 0, []int{1}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Generations != 7 || len(gens) != 7 || len(res.Curve) != 7 {
+		t.Fatalf("ran %d generations, observed %d, curve %d; want 7", res.Generations, len(gens), len(res.Curve))
+	}
+	for i, g := range gens {
+		if g != res.Curve[i].Generation || (i > 0 && g <= gens[i-1]) {
+			t.Errorf("observed generations %v do not follow the curve", gens)
+			break
+		}
 	}
 }
 
@@ -411,7 +471,7 @@ func TestEvaluateHookErrorAbortsRun(t *testing.T) {
 	opts := designOpts(20, 50, 3)
 	boom := errors.New("backend down")
 	gen := 0
-	opts.Evaluate = func(seqs []seq.Sequence) ([]cluster.Result, error) {
+	opts.Backend = funcBackend(func(seqs []seq.Sequence) ([]cluster.Result, error) {
 		gen++
 		if gen > 2 {
 			return nil, boom
@@ -421,7 +481,7 @@ func TestEvaluateHookErrorAbortsRun(t *testing.T) {
 			results[i] = cluster.Result{Index: i, TargetScore: 0.5}
 		}
 		return results, nil
-	}
+	})
 	if _, err := Design(eng, 0, []int{1}, opts); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want the backend error", err)
 	}
@@ -432,9 +492,9 @@ func TestEvaluateHookErrorAbortsRun(t *testing.T) {
 func TestEvaluateHookLengthMismatch(t *testing.T) {
 	_, eng := setup(t)
 	opts := designOpts(20, 50, 3)
-	opts.Evaluate = func(seqs []seq.Sequence) ([]cluster.Result, error) {
+	opts.Backend = funcBackend(func(seqs []seq.Sequence) ([]cluster.Result, error) {
 		return make([]cluster.Result, 1), nil
-	}
+	})
 	if _, err := Design(eng, 0, []int{1}, opts); err == nil {
 		t.Fatal("short result slice accepted")
 	}
@@ -450,11 +510,11 @@ func TestEvaluateHookAbandonedTaskScoresZero(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts.Evaluate = func(seqs []seq.Sequence) ([]cluster.Result, error) {
+	opts.Backend = funcBackend(func(seqs []seq.Sequence) ([]cluster.Result, error) {
 		results := pool.EvaluateAll(seqs)
 		results[0] = cluster.Result{Index: 0, Attempts: 3, Err: errors.New("abandoned")}
 		return results, nil
-	}
+	})
 	d, err := NewDesigner(Problem{Engine: eng, TargetID: 0, NonTargetIDs: []int{1}}, opts)
 	if err != nil {
 		t.Fatal(err)

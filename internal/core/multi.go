@@ -2,10 +2,7 @@ package core
 
 import (
 	"fmt"
-	"math/rand"
 
-	"repro/internal/cluster"
-	"repro/internal/ga"
 	"repro/internal/pipe"
 	"repro/internal/seq"
 )
@@ -25,13 +22,7 @@ func MultiFitness(targetScores, nonTargetScores []float64) float64 {
 	if len(targetScores) == 0 {
 		return 0
 	}
-	min := targetScores[0]
-	for _, s := range targetScores[1:] {
-		if s < min {
-			min = s
-		}
-	}
-	return (1 - MaxScore(nonTargetScores)) * min
+	return (1 - MaxScore(nonTargetScores)) * minScore(targetScores[0], targetScores[1:])
 }
 
 // MultiDetail decomposes a multi-target candidate's scores.
@@ -51,97 +42,37 @@ type MultiResult struct {
 }
 
 // DesignMulti evolves one sequence predicted to bind every target in
-// targetIDs while avoiding nonTargetIDs. It reuses the master/worker
-// pool by treating the extra targets as leading entries of the
-// non-target list on the wire and re-splitting scores in the fitness
-// callback.
+// targetIDs while avoiding nonTargetIDs. It is a thin wrapper over the
+// Designer with a multi-target Problem, so every Options field applies.
 func DesignMulti(engine *pipe.Engine, targetIDs, nonTargetIDs []int, opts Options) (MultiResult, error) {
-	if engine == nil {
-		return MultiResult{}, fmt.Errorf("core: nil PIPE engine")
-	}
 	if len(targetIDs) == 0 {
 		return MultiResult{}, fmt.Errorf("core: empty target set")
 	}
-	for _, t := range targetIDs {
-		for _, nt := range nonTargetIDs {
-			if t == nt {
-				return MultiResult{}, fmt.Errorf("core: protein %d is both target and non-target", t)
-			}
-		}
-	}
-	// Wire layout: pool target = targetIDs[0]; pool non-targets =
-	// targetIDs[1:] ++ nonTargetIDs.
-	wireNTs := append(append([]int(nil), targetIDs[1:]...), nonTargetIDs...)
-	pool, err := cluster.New(engine, targetIDs[0], wireNTs, opts.Cluster)
+	d, err := NewDesigner(Problem{
+		Engine:         engine,
+		TargetID:       targetIDs[0],
+		ExtraTargetIDs: targetIDs[1:],
+		NonTargetIDs:   nonTargetIDs,
+	}, opts)
 	if err != nil {
 		return MultiResult{}, err
 	}
-	extraTargets := len(targetIDs) - 1
-
-	var details []MultiDetail
-	eval := ga.EvaluatorFunc(func(seqs []seq.Sequence) []float64 {
-		results := pool.EvaluateAll(seqs)
-		fits := make([]float64, len(seqs))
-		details = make([]MultiDetail, len(seqs))
-		for i, r := range results {
-			targets := append([]float64{r.TargetScore}, r.NonTargetScores[:extraTargets]...)
-			nts := r.NonTargetScores[extraTargets:]
-			det := MultiDetail{
-				TargetScores: targets,
-				MaxNonTarget: MaxScore(nts),
-				AvgNonTarget: MeanScore(nts),
-			}
-			det.Fitness = MultiFitness(targets, nts)
-			det.MinTarget = det.Fitness
-			if det.Fitness > 0 || len(targets) > 0 {
-				min := targets[0]
-				for _, s := range targets[1:] {
-					if s < min {
-						min = s
-					}
-				}
-				det.MinTarget = min
-			}
-			details[i] = det
-			fits[i] = det.Fitness
-		}
-		return fits
-	})
-
-	gaEngine, err := ga.New(opts.GA, eval)
+	res, err := d.Run()
 	if err != nil {
 		return MultiResult{}, err
 	}
-	if opts.WarmStart {
-		rng := rand.New(rand.NewSource(opts.GA.Seed))
-		pop := NaturalFragmentPopulation(engine, rng, opts.GA.PopulationSize, opts.GA.SeqLen)
-		if err := gaEngine.SetPopulation(pop); err != nil {
-			return MultiResult{}, err
-		}
-	} else {
-		gaEngine.InitPopulation()
-	}
-
-	var (
-		bestSeq    seq.Sequence
-		bestDetail MultiDetail
-	)
-	history := gaEngine.Run(opts.Termination, func(st ga.Stats) {
-		if !st.NewBestFound {
-			return
-		}
-		bestIdx := 0
-		for i := range details {
-			if details[i].Fitness > details[bestIdx].Fitness {
-				bestIdx = i
-			}
-		}
-		bestSeq = st.BestEverSeq
-		bestDetail = details[bestIdx]
-	})
+	// Re-score the winner against each target for the per-target
+	// breakdown; PIPE scores are deterministic, so these are the scores
+	// the run saw.
 	return MultiResult{
-		Best:        bestSeq,
-		BestDetail:  bestDetail,
-		Generations: len(history),
+		Best: res.Best,
+		BestDetail: MultiDetail{
+			Fitness:      res.BestDetail.Fitness,
+			TargetScores: engine.ScoreMany(res.Best, targetIDs, opts.Cluster.ThreadsPerWorker),
+			MinTarget:    res.BestDetail.Target,
+			MaxNonTarget: res.BestDetail.MaxNonTarget,
+			AvgNonTarget: res.BestDetail.AvgNonTarget,
+		},
+		Generations: res.Generations,
 	}, nil
 }

@@ -2,8 +2,12 @@ package core
 
 import (
 	"math"
+	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/evalbackend"
 )
 
 func TestMultiFitnessFormula(t *testing.T) {
@@ -113,5 +117,70 @@ func TestDesignMultiDeterministic(t *testing.T) {
 	}
 	if a.Best.Residues() != b.Best.Residues() {
 		t.Error("multi-target design not deterministic under seed")
+	}
+}
+
+// TestDesignMultiMatchesGolden pins TestDesignMultiRuns' configuration to
+// the values the multi-target path produced before it ran through the
+// Designer: same best, same decomposition, same generation count.
+func TestDesignMultiMatchesGolden(t *testing.T) {
+	_, eng := setup(t)
+	opts := designOpts(20, 5, 9)
+	opts.WarmStart = true
+	res, err := DesignMulti(eng, []int{0, 1}, []int{5, 6, 7}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := MultiDetail{
+		Fitness:      0.2543476637770219,
+		TargetScores: []float64{0.6582542896440355, 0.4488200038542042},
+		MinTarget:    0.4488200038542042,
+		MaxNonTarget: 0.43329695291468145,
+		AvgNonTarget: 0.3980405988203137,
+	}
+	const wantBest = "ILTVPVIYFKNEIIKLKPSAPHVKIAAAYKLSDSQDLGDLSLQHTFVISRQNTETRVRCFQEYPSPDITFEDNRILHDQHTFIPDTDVDALPGSENNELKLFMLMPKAARGSGGSDLHLR"
+	if res.Best.Residues() != wantBest || !reflect.DeepEqual(res.BestDetail, want) || res.Generations != 5 {
+		t.Errorf("got best %q detail %+v after %d generations\nwant %q %+v after 5",
+			res.Best.Residues(), res.BestDetail, res.Generations, wantBest, want)
+	}
+}
+
+// TestProblemFingerprintTargets: single-target problems keep
+// ProblemFingerprint (so existing checkpoints still resume), and a
+// multi-target problem never shares a fingerprint with the
+// single-target problem of the same wire layout.
+func TestProblemFingerprintTargets(t *testing.T) {
+	_, eng := setup(t)
+	single := Problem{Engine: eng, TargetID: 0, NonTargetIDs: []int{1, 2}}
+	if got := single.fingerprint(); got != ProblemFingerprint(eng, 0, []int{1, 2}) || got != 0xf242f339f13bbc4a {
+		t.Errorf("single-target fingerprint %016x changed", got)
+	}
+	multi := Problem{Engine: eng, TargetID: 0, ExtraTargetIDs: []int{1}, NonTargetIDs: []int{2}}
+	sameWire := Problem{Engine: eng, TargetID: 0, NonTargetIDs: multi.WireNonTargetIDs()}
+	if multi.fingerprint() == sameWire.fingerprint() {
+		t.Error("multi-target problem shares the fingerprint of its single-target wire layout")
+	}
+	d, err := NewDesigner(multi, designOpts(10, 2, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.ProblemFP() != multi.fingerprint() {
+		t.Error("Designer does not stamp the multi-target fingerprint")
+	}
+}
+
+// TestMultiTargetRejectsSingleTargetBackend: a backend built for the
+// single-target layout cannot score the extra targets; the run fails
+// with an error instead of slicing past the scores it returned.
+func TestMultiTargetRejectsSingleTargetBackend(t *testing.T) {
+	_, eng := setup(t)
+	opts := designOpts(10, 2, 1)
+	pb, err := evalbackend.NewPool(eng, 0, []int{5}, opts.Cluster)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.Backend = pb
+	if _, err := DesignMulti(eng, []int{0, 1, 2}, []int{5}, opts); err == nil || !strings.Contains(err.Error(), "extra targets") {
+		t.Fatalf("err = %v, want the wire-layout error", err)
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/pipe"
 	"repro/internal/seq"
 )
 
@@ -107,6 +108,20 @@ func NewSharded(shards ...Backend) (*Sharded, error) {
 		}
 	}
 	return &Sharded{shards: shards, per: make([]shardCounters, len(shards))}, nil
+}
+
+// NewShardedPools composes n in-process pools for one problem, each
+// sized by cfg, into a work-stealing Sharded backend.
+func NewShardedPools(engine *pipe.Engine, targetID int, nonTargetIDs []int, cfg cluster.Config, n int) (*Sharded, error) {
+	shards := make([]Backend, n)
+	for i := range shards {
+		pb, err := NewPool(engine, targetID, nonTargetIDs, cfg)
+		if err != nil {
+			return nil, err
+		}
+		shards[i] = pb
+	}
+	return NewSharded(shards...)
 }
 
 // stealRound is the shared state of one EvaluateAll round.

@@ -13,8 +13,9 @@ import (
 // ReplayJournal renders a run journal (journal.jsonl, see internal/obs)
 // as Figure 7-style learning curves without re-running the campaign:
 // sparklines and final values for the target / max non-target / avg
-// non-target series, fitness progress, and the evaluation accounting an
-// operator cares about (cache hit rate, eval wall time, worker churn).
+// non-target series, fitness progress (per island for island runs), and
+// the evaluation accounting an operator cares about (cache hit rate,
+// eval wall time, worker churn).
 // path may be the journal file itself or its run directory. When dataDir
 // is non-empty a gnuplot-style journal_curves.dat is written there.
 func ReplayJournal(path string, out io.Writer, dataDir string) error {
@@ -72,6 +73,19 @@ func ReplayJournal(path string, out io.Writer, dataDir string) error {
 	fmt.Fprintf(out, "  max non-tgt  %s %.3f\n", stats.Sparkline(decimate(maxNT, 40)), last(maxNT))
 	fmt.Fprintf(out, "  avg non-tgt  %s %.3f\n", stats.Sparkline(decimate(avgNT, 40)), last(avgNT))
 	fmt.Fprintf(out, "  best fitness %s %.3f\n", stats.Sparkline(decimate(best, 40)), last(best))
+	if n := len(final.IslandBest.Values()); n > 0 {
+		islands := make([][]float64, n)
+		for _, r := range recs {
+			for k, f := range r.IslandBest.Values() {
+				if k < n {
+					islands[k] = append(islands[k], f)
+				}
+			}
+		}
+		for k, curve := range islands {
+			fmt.Fprintf(out, "  island %-5d %s %.3f\n", k, stats.Sparkline(decimate(curve, 40)), last(curve))
+		}
+	}
 
 	total := evaluated + cacheHits
 	hitRate := 0.0

@@ -95,6 +95,33 @@ func TestReplayJournalDistributed(t *testing.T) {
 	}
 }
 
+func TestReplayJournalIslands(t *testing.T) {
+	dir := t.TempDir()
+	j, err := obs.OpenJournal(dir, obs.JournalOptions{CheckpointEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for g := 0; g < 5; g++ {
+		rec := obs.GenerationRecord{Generation: g, BestFitness: 0.5, Evaluated: 20}
+		rec.IslandBest = obs.NewFloatList([]float64{0.1 * float64(g), 0.5})
+		if err := j.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var out strings.Builder
+	if err := ReplayJournal(dir, &out, ""); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"island 0", "0.400", "island 1", "0.500"} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("replay output missing %q:\n%s", want, out.String())
+		}
+	}
+}
+
 func TestReplayJournalSurrogate(t *testing.T) {
 	dir := t.TempDir()
 	j, err := obs.OpenJournal(dir, obs.JournalOptions{CheckpointEvery: -1})

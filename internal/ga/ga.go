@@ -416,23 +416,3 @@ func (t Termination) ShouldStop(g, lastImprove int) bool {
 	}
 	return false
 }
-
-// Run executes Step until the termination criterion fires, invoking
-// onGeneration (if non-nil) after each step. It returns the stats of
-// every generation.
-func (e *Engine) Run(term Termination, onGeneration func(Stats)) []Stats {
-	if term.MaxGenerations <= 0 && term.StallGenerations <= 0 {
-		term.MaxGenerations = 100
-	}
-	var history []Stats
-	for g := 0; ; g++ {
-		st := e.Step()
-		history = append(history, st)
-		if onGeneration != nil {
-			onGeneration(st)
-		}
-		if term.ShouldStop(g, st.BestEverGen) {
-			return history
-		}
-	}
-}

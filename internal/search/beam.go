@@ -73,19 +73,11 @@ const (
 // batch, the selected beam is always reconstructible from the evaluated
 // batch alone — the checkpoint needs no strategy state.
 type beamSearcher struct {
+	batch   // hintParent holds each slot's beam parent
 	cfg     BeamConfig
 	params  ga.Params
 	eval    ga.Evaluator
 	sampler *seq.Sampler
-
-	pop        []ga.Individual // current unevaluated batch
-	hintParent []string        // residues of each batch slot's beam parent
-	generation int
-	bestEver   ga.Individual
-	bestGen    int
-	observe    ga.StageObserver
-
-	counters obs.StrategyCounters
 }
 
 // NewBeam builds the beam-search strategy. The GA parameters contribute
@@ -108,6 +100,7 @@ func NewBeam(cfg BeamConfig, params ga.Params, eval ga.Evaluator) (Searcher, err
 		params.Composition = seq.YeastComposition()
 	}
 	return &beamSearcher{
+		batch:   batch{size: cfg.Width*cfg.Expand + cfg.EliteExtra},
 		cfg:     cfg,
 		params:  params,
 		eval:    eval,
@@ -117,60 +110,13 @@ func NewBeam(cfg BeamConfig, params ga.Params, eval ga.Evaluator) (Searcher, err
 
 func (b *beamSearcher) Strategy() string { return StrategyBeam }
 
-func (b *beamSearcher) PopulationSize() int {
-	return b.cfg.Width*b.cfg.Expand + b.cfg.EliteExtra
-}
-
-func (b *beamSearcher) Generation() int { return b.generation }
-
-func (b *beamSearcher) Population() []ga.Individual { return b.pop }
-
-func (b *beamSearcher) BestEver() (ga.Individual, int) { return b.bestEver, b.bestGen }
-
-func (b *beamSearcher) InitPopulation() {
-	n := b.PopulationSize()
-	b.pop = make([]ga.Individual, n)
-	for i := range b.pop {
-		rng := slotRNG(b.params.Seed, 0, i, beamStreamInit)
-		b.pop[i] = ga.Individual{
-			Seq: seq.RandomFrom(rng, fmt.Sprintf("b0s%04d", i), b.params.SeqLen, b.sampler),
-		}
-	}
-	b.hintParent = nil
-	b.generation = 0
-}
-
-func (b *beamSearcher) SetPopulation(seqs []seq.Sequence) error {
-	if len(seqs) != b.PopulationSize() {
-		return fmt.Errorf("search: got %d sequences, beam batch size is %d", len(seqs), b.PopulationSize())
-	}
-	b.pop = make([]ga.Individual, len(seqs))
-	for i, s := range seqs {
-		b.pop[i] = ga.Individual{Seq: s}
-	}
-	b.hintParent = nil
-	return nil
-}
-
-func (b *beamSearcher) ParentHints(seqs []seq.Sequence) map[string]string {
-	hints := make(map[string]string)
-	for i, parent := range b.hintParent {
-		if i < len(seqs) && parent != "" {
-			hints[seqs[i].Residues()] = parent
-		}
-	}
-	return hints
-}
+func (b *beamSearcher) InitPopulation() { b.initRandom("b", b.params, b.sampler, beamStreamInit) }
 
 func (b *beamSearcher) Step() ga.Stats {
 	if b.pop == nil {
 		b.InitPopulation()
 	}
-	fits := b.eval.EvaluateAll(batchSeqs(b.pop))
-	for i := range b.pop {
-		b.pop[i].Fitness = fits[i]
-	}
-	st := batchStats(b.generation, b.pop, &b.bestEver, &b.bestGen)
+	st := b.evaluate(b.eval)
 
 	// Select the beam: top Width by fitness, ties broken by batch slot
 	// so selection is deterministic.
@@ -254,8 +200,6 @@ func (b *beamSearcher) expand(beam []ga.Individual) {
 	}
 }
 
-func (b *beamSearcher) Counters() obs.StrategyCounters { return b.counters }
-
 // State returns nil: the batch always contains each beam node's
 // survival copy, so the evaluated batch alone reconstructs the beam.
 func (b *beamSearcher) State() ([]byte, error) { return nil, nil }
@@ -264,19 +208,5 @@ func (b *beamSearcher) Restore(generation int, pop []seq.Sequence, bestEver ga.I
 	if len(state) != 0 {
 		return fmt.Errorf("search: beam checkpoint carries %d bytes of strategy state, want none", len(state))
 	}
-	if generation <= 0 {
-		return fmt.Errorf("search: cannot restore beam to generation %d (nothing completed)", generation)
-	}
-	if bestGen < 0 || bestGen >= generation {
-		return fmt.Errorf("search: best-ever generation %d outside completed range [0,%d)", bestGen, generation)
-	}
-	if err := b.SetPopulation(pop); err != nil {
-		return err
-	}
-	b.generation = generation
-	b.bestEver = bestEver
-	b.bestGen = bestGen
-	return nil
+	return b.restore(StrategyBeam, generation, pop, bestEver, bestGen)
 }
-
-func (b *beamSearcher) SetStageObserver(fn ga.StageObserver) { b.observe = fn }

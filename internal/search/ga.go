@@ -14,7 +14,7 @@ import (
 // seam is bit-identical to one driving the engine directly (the golden
 // trajectory and resume suites prove it).
 type gaSearcher struct {
-	eng *ga.Engine
+	*ga.Engine // Generation, Population, BestEver, InitPopulation, SetPopulation, Step, SetStageObserver
 }
 
 // NewGA wraps the genetic algorithm as a Searcher.
@@ -23,22 +23,12 @@ func NewGA(params ga.Params, eval ga.Evaluator) (Searcher, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &gaSearcher{eng: eng}, nil
+	return &gaSearcher{eng}, nil
 }
 
 func (g *gaSearcher) Strategy() string { return StrategyGA }
 
-func (g *gaSearcher) PopulationSize() int { return g.eng.Params().PopulationSize }
-
-func (g *gaSearcher) Generation() int { return g.eng.Generation() }
-
-func (g *gaSearcher) Population() []ga.Individual { return g.eng.Population() }
-
-func (g *gaSearcher) BestEver() (ga.Individual, int) { return g.eng.BestEver() }
-
-func (g *gaSearcher) InitPopulation() { g.eng.InitPopulation() }
-
-func (g *gaSearcher) SetPopulation(seqs []seq.Sequence) error { return g.eng.SetPopulation(seqs) }
+func (g *gaSearcher) PopulationSize() int { return g.Params().PopulationSize }
 
 // ParentHints rebuilds generation ancestry from the engine's provenance:
 // each child maps to its primary parent in the previous evaluated
@@ -48,8 +38,8 @@ func (g *gaSearcher) SetPopulation(seqs []seq.Sequence) error { return g.eng.Set
 // one's delta parents.
 func (g *gaSearcher) ParentHints(seqs []seq.Sequence) map[string]string {
 	hints := make(map[string]string)
-	if prov := g.eng.Provenance(); prov != nil {
-		prevGen := g.eng.LastEvaluated()
+	if prov := g.Provenance(); prov != nil {
+		prevGen := g.LastEvaluated()
 		for i, p := range prov {
 			if i < len(seqs) && p.ParentA >= 0 && p.ParentA < len(prevGen) {
 				hints[seqs[i].Residues()] = prevGen[p.ParentA].Seq.Residues()
@@ -58,8 +48,6 @@ func (g *gaSearcher) ParentHints(seqs []seq.Sequence) map[string]string {
 	}
 	return hints
 }
-
-func (g *gaSearcher) Step() ga.Stats { return g.eng.Step() }
 
 func (g *gaSearcher) Counters() obs.StrategyCounters { return obs.StrategyCounters{} }
 
@@ -71,7 +59,5 @@ func (g *gaSearcher) Restore(generation int, pop []seq.Sequence, bestEver ga.Ind
 	if len(state) != 0 {
 		return fmt.Errorf("search: ga checkpoint carries %d bytes of strategy state, want none", len(state))
 	}
-	return g.eng.Restore(generation, pop, bestEver, bestGen)
+	return g.Engine.Restore(generation, pop, bestEver, bestGen)
 }
-
-func (g *gaSearcher) SetStageObserver(fn ga.StageObserver) { g.eng.SetStageObserver(fn) }

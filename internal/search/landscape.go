@@ -172,22 +172,15 @@ type landWalker struct {
 // greedily and, after Patience consecutive rejections, record a local
 // optimum in the census and restart from a fresh random sequence.
 type landscapeSearcher struct {
+	batch   // pop holds one pending proposal per walker
 	cfg     LandscapeConfig
 	params  ga.Params
 	eval    ga.Evaluator
 	sampler *seq.Sampler
 
-	walkers    []landWalker
-	pop        []ga.Individual // pending proposals, one per walker
-	hintParent []string
-	generation int
-	bestEver   ga.Individual
-	bestGen    int
-	observe    ga.StageObserver
-
+	walkers  []landWalker
 	optima   int // cumulative local optima recorded
 	restarts int // cumulative hill-climber restarts
-	counters obs.StrategyCounters
 }
 
 // NewLandscape builds the landscape-analysis mode. params supplies the
@@ -208,6 +201,7 @@ func NewLandscape(cfg LandscapeConfig, params ga.Params, eval ga.Evaluator) (Sea
 		params.Composition = seq.YeastComposition()
 	}
 	return &landscapeSearcher{
+		batch:   batch{size: params.PopulationSize},
 		cfg:     cfg,
 		params:  params,
 		eval:    eval,
@@ -217,50 +211,11 @@ func NewLandscape(cfg LandscapeConfig, params ga.Params, eval ga.Evaluator) (Sea
 
 func (l *landscapeSearcher) Strategy() string { return StrategyLandscape }
 
-func (l *landscapeSearcher) PopulationSize() int { return l.params.PopulationSize }
-
-func (l *landscapeSearcher) Generation() int { return l.generation }
-
-func (l *landscapeSearcher) Population() []ga.Individual { return l.pop }
-
-func (l *landscapeSearcher) BestEver() (ga.Individual, int) { return l.bestEver, l.bestGen }
-
 func (l *landscapeSearcher) neutral(i int) bool { return i%2 == 0 }
 
 func (l *landscapeSearcher) InitPopulation() {
-	n := l.PopulationSize()
-	l.pop = make([]ga.Individual, n)
-	for i := range l.pop {
-		rng := slotRNG(l.params.Seed, 0, i, landStreamInit)
-		l.pop[i] = ga.Individual{
-			Seq: seq.RandomFrom(rng, fmt.Sprintf("l0s%04d", i), l.params.SeqLen, l.sampler),
-		}
-	}
+	l.initRandom("l", l.params, l.sampler, landStreamInit)
 	l.walkers = nil
-	l.hintParent = nil
-	l.generation = 0
-}
-
-func (l *landscapeSearcher) SetPopulation(seqs []seq.Sequence) error {
-	if len(seqs) != l.PopulationSize() {
-		return fmt.Errorf("search: got %d sequences, landscape runs %d walkers", len(seqs), l.PopulationSize())
-	}
-	l.pop = make([]ga.Individual, len(seqs))
-	for i, s := range seqs {
-		l.pop[i] = ga.Individual{Seq: s}
-	}
-	l.hintParent = nil
-	return nil
-}
-
-func (l *landscapeSearcher) ParentHints(seqs []seq.Sequence) map[string]string {
-	hints := make(map[string]string)
-	for i, parent := range l.hintParent {
-		if i < len(seqs) && parent != "" {
-			hints[seqs[i].Residues()] = parent
-		}
-	}
-	return hints
 }
 
 // mutateOne substitutes a single residue at a random position, the
@@ -282,11 +237,7 @@ func (l *landscapeSearcher) Step() ga.Stats {
 	if l.pop == nil {
 		l.InitPopulation()
 	}
-	fits := l.eval.EvaluateAll(batchSeqs(l.pop))
-	for i := range l.pop {
-		l.pop[i].Fitness = fits[i]
-	}
-	st := batchStats(l.generation, l.pop, &l.bestEver, &l.bestGen)
+	st := l.evaluate(l.eval)
 
 	var begin time.Time
 	if l.observe != nil {
@@ -388,8 +339,6 @@ func (l *landscapeSearcher) Step() ga.Stats {
 	return st
 }
 
-func (l *landscapeSearcher) Counters() obs.StrategyCounters { return l.counters }
-
 // landState is the gob payload of the landscape mode's checkpoint blob.
 type landState struct {
 	Walkers  []landWalker
@@ -409,12 +358,6 @@ func (l *landscapeSearcher) State() ([]byte, error) {
 }
 
 func (l *landscapeSearcher) Restore(generation int, pop []seq.Sequence, bestEver ga.Individual, bestGen int, state []byte) error {
-	if generation <= 0 {
-		return fmt.Errorf("search: cannot restore landscape to generation %d (nothing completed)", generation)
-	}
-	if bestGen < 0 || bestGen >= generation {
-		return fmt.Errorf("search: best-ever generation %d outside completed range [0,%d)", bestGen, generation)
-	}
 	if len(state) == 0 {
 		return fmt.Errorf("search: landscape checkpoint is missing walker state")
 	}
@@ -425,7 +368,7 @@ func (l *landscapeSearcher) Restore(generation int, pop []seq.Sequence, bestEver
 	if len(ls.Walkers) != l.PopulationSize() {
 		return fmt.Errorf("search: checkpoint has %d landscape walkers, designer runs %d", len(ls.Walkers), l.PopulationSize())
 	}
-	if err := l.SetPopulation(pop); err != nil {
+	if err := l.restore(StrategyLandscape, generation, pop, bestEver, bestGen); err != nil {
 		return err
 	}
 	l.hintParent = make([]string, len(ls.Walkers))
@@ -437,10 +380,5 @@ func (l *landscapeSearcher) Restore(generation int, pop []seq.Sequence, bestEver
 	l.walkers = ls.Walkers
 	l.optima = ls.Optima
 	l.restarts = ls.Restarts
-	l.generation = generation
-	l.bestEver = bestEver
-	l.bestGen = bestGen
 	return nil
 }
-
-func (l *landscapeSearcher) SetStageObserver(fn ga.StageObserver) { l.observe = fn }

@@ -54,6 +54,9 @@ type Config struct {
 	Beam      BeamConfig
 	Anneal    AnnealConfig
 	Landscape LandscapeConfig
+	// Islands, when Count > 1, runs Count islands of the strategy as
+	// one composite Searcher with ring migration (see IslandConfig).
+	Islands IslandConfig
 }
 
 // Name returns the configured strategy name with the empty-string
@@ -69,6 +72,9 @@ func (c Config) Name() string {
 // defaults applied) are usable, without constructing a Searcher — the
 // fail-fast check for API request validation.
 func (c Config) Validate() error {
+	if _, err := c.Islands.withDefaults(); err != nil {
+		return err
+	}
 	switch c.Name() {
 	case StrategyGA:
 		return nil
@@ -157,6 +163,9 @@ func New(cfg Config, params ga.Params, eval ga.Evaluator) (Searcher, error) {
 	if eval == nil {
 		return nil, fmt.Errorf("search: nil evaluator")
 	}
+	if cfg.Islands.Enabled() {
+		return newIslands(cfg, params, eval)
+	}
 	switch cfg.Name() {
 	case StrategyGA:
 		return NewGA(params, eval)
@@ -186,6 +195,96 @@ func slotRNG(seed int64, gen, slot int, stream uint64) *rand.Rand {
 	x *= 0x94D049BB133111EB
 	x ^= x >> 31
 	return rand.New(rand.NewSource(int64(x)))
+}
+
+// batch is the bookkeeping the beam, anneal and landscape strategies
+// share: the pending candidate batch, the residues each slot was
+// derived from (its delta-preprocessing hint parent, "" for none), the
+// completed-step count, the best-ever individual and the last step's
+// counters.
+type batch struct {
+	size       int
+	pop        []ga.Individual
+	hintParent []string
+	generation int
+	bestEver   ga.Individual
+	bestGen    int
+	observe    ga.StageObserver
+	counters   obs.StrategyCounters
+}
+
+func (b *batch) PopulationSize() int { return b.size }
+
+func (b *batch) Generation() int { return b.generation }
+
+func (b *batch) Population() []ga.Individual { return b.pop }
+
+func (b *batch) BestEver() (ga.Individual, int) { return b.bestEver, b.bestGen }
+
+func (b *batch) Counters() obs.StrategyCounters { return b.counters }
+
+func (b *batch) SetStageObserver(fn ga.StageObserver) { b.observe = fn }
+
+// initRandom fills the batch with random sequences, slot i drawn from
+// the (seed, 0, i, stream) stream and named <prefix>0s<i>.
+func (b *batch) initRandom(prefix string, params ga.Params, sampler *seq.Sampler, stream uint64) {
+	b.pop = make([]ga.Individual, b.size)
+	for i := range b.pop {
+		rng := slotRNG(params.Seed, 0, i, stream)
+		b.pop[i] = ga.Individual{
+			Seq: seq.RandomFrom(rng, fmt.Sprintf("%s0s%04d", prefix, i), params.SeqLen, sampler),
+		}
+	}
+	b.hintParent = nil
+	b.generation = 0
+}
+
+func (b *batch) SetPopulation(seqs []seq.Sequence) error {
+	if len(seqs) != b.size {
+		return fmt.Errorf("search: got %d sequences, batch size is %d", len(seqs), b.size)
+	}
+	b.pop = make([]ga.Individual, len(seqs))
+	for i, s := range seqs {
+		b.pop[i] = ga.Individual{Seq: s}
+	}
+	b.hintParent = nil
+	return nil
+}
+
+func (b *batch) ParentHints(seqs []seq.Sequence) map[string]string {
+	hints := make(map[string]string)
+	for i, parent := range b.hintParent {
+		if i < len(seqs) && parent != "" {
+			hints[seqs[i].Residues()] = parent
+		}
+	}
+	return hints
+}
+
+// evaluate scores the pending batch and returns its statistics,
+// updating the best-ever.
+func (b *batch) evaluate(eval ga.Evaluator) ga.Stats {
+	fits := eval.EvaluateAll(batchSeqs(b.pop))
+	for i := range b.pop {
+		b.pop[i].Fitness = fits[i]
+	}
+	return batchStats(b.generation, b.pop, &b.bestEver, &b.bestGen)
+}
+
+// restore rewinds the shared bookkeeping to a checkpoint of strategy
+// name; the strategy restores its private state around it.
+func (b *batch) restore(name string, generation int, pop []seq.Sequence, bestEver ga.Individual, bestGen int) error {
+	if generation <= 0 {
+		return fmt.Errorf("search: cannot restore %s to generation %d (nothing completed)", name, generation)
+	}
+	if bestGen < 0 || bestGen >= generation {
+		return fmt.Errorf("search: best-ever generation %d outside completed range [0,%d)", bestGen, generation)
+	}
+	if err := b.SetPopulation(pop); err != nil {
+		return err
+	}
+	b.generation, b.bestEver, b.bestGen = generation, bestEver, bestGen
+	return nil
 }
 
 // batchSeqs extracts the residue sequences of a candidate batch.

@@ -192,10 +192,21 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, errorJSON{Error: fmt.Sprintf(format, args...)})
 }
 
+// maxBodyBytes bounds a JSON request body. The largest legitimate body,
+// a score request naming proteins, is a few KiB per thousand names.
+const maxBodyBytes = 1 << 20
+
+// decodeJSON decodes a bounded request body into v, answering 413 for
+// bodies over maxBodyBytes and 400 for malformed ones.
 func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", maxBodyBytes)
+			return false
+		}
 		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return false
 	}
@@ -532,7 +543,7 @@ func (s *Server) handleDesignCreate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	j, err := s.jobs.submit(spec, tenant.Name)
+	accepted, err := s.jobs.submit(spec, tenant.Name)
 	switch {
 	case errors.Is(err, ErrQueueFull), errors.Is(err, ErrDraining):
 		w.Header().Set("Retry-After", "5")
@@ -542,7 +553,7 @@ func (s *Server) handleDesignCreate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusAccepted, renderJobJSON(j.snapshot(), false))
+	writeJSON(w, http.StatusAccepted, renderJobJSON(accepted, false))
 }
 
 func (s *Server) handleDesignList(w http.ResponseWriter, r *http.Request) {

@@ -261,11 +261,11 @@ func newJobStore(engines *engineCache, m *metrics, workers, capacity int, oc job
 	return s
 }
 
-// submit validates queue capacity and registers the job. The queue send
-// happens under the store lock so drain's close(queue) cannot race a
-// send; the send itself never blocks (capacity is checked by the
-// non-blocking select).
-func (s *jobStore) submit(spec designSpec, tenant string) (*job, error) {
+// submit validates queue capacity, registers the job and returns its
+// snapshot as accepted. The queue send happens under the store lock so
+// drain's close(queue) cannot race a send; the send itself never blocks
+// (capacity is checked by the non-blocking select).
+func (s *jobStore) submit(spec designSpec, tenant string) (jobSnapshot, error) {
 	ctx, cancel := context.WithCancel(context.Background())
 	j := &job{
 		tenant:  tenant,
@@ -281,23 +281,27 @@ func (s *jobStore) submit(spec designSpec, tenant string) (*job, error) {
 		s.mu.Unlock()
 		cancel()
 		s.metrics.jobsRejected.Add(1)
-		return nil, ErrDraining
+		return jobSnapshot{}, ErrDraining
 	}
+	// Name and snapshot the job before a queue worker can receive it:
+	// the worker reads the ID, and may start the job before the caller
+	// renders its "queued" answer.
+	j.id = fmt.Sprintf("d-%06d", s.nextID+1)
+	accepted := j.snapshot()
 	select {
 	case s.queue <- j:
 	default:
 		s.mu.Unlock()
 		cancel()
 		s.metrics.jobsRejected.Add(1)
-		return nil, ErrQueueFull
+		return jobSnapshot{}, ErrQueueFull
 	}
 	s.nextID++
-	j.id = fmt.Sprintf("d-%06d", s.nextID)
 	s.jobs[j.id] = j
 	s.order = append(s.order, j.id)
 	s.mu.Unlock()
 	s.metrics.jobsAccepted.Add(1)
-	return j, nil
+	return accepted, nil
 }
 
 // get returns the job by ID.
@@ -497,15 +501,7 @@ func (s *jobStore) prepare(j *job, jobLogger *obs.Logger) (*core.Designer, func(
 		}
 	}
 	if j.spec.Shards > 1 {
-		shards := make([]evalbackend.Backend, j.spec.Shards)
-		for i := range shards {
-			pb, err := evalbackend.NewPool(engine, j.spec.TargetID, j.spec.NonTargetIDs, jobCluster)
-			if err != nil {
-				return nil, cleanup, err
-			}
-			shards[i] = pb
-		}
-		sh, err := evalbackend.NewSharded(shards...)
+		sh, err := evalbackend.NewShardedPools(engine, j.spec.TargetID, j.spec.NonTargetIDs, jobCluster, j.spec.Shards)
 		if err != nil {
 			return nil, cleanup, err
 		}

@@ -174,7 +174,11 @@ func (s *jobStore) runPersistent(rec jobstore.Record, recovered bool) {
 		finishBoth(JobFailed, nil, err)
 		return
 	}
+	// The API snapshots the job concurrently; publish the resolved spec
+	// under the job lock.
+	j.mu.Lock()
 	j.spec = spec
+	j.mu.Unlock()
 	if recovered {
 		s.metrics.jobsRecovered.Add(1)
 		jobLogger.Info("orphaned job re-attached", "attempt", rec.Attempts, "recoveries", rec.Recovered)

@@ -492,6 +492,22 @@ func TestDesignRequestValidation(t *testing.T) {
 	}
 }
 
+// TestOversizedBodyRejected: a request body over the 1 MiB bound is
+// refused with 413 instead of being read without limit.
+func TestOversizedBodyRejected(t *testing.T) {
+	_, ts := newTestServer(t, nil)
+	body := `{"target":"` + strings.Repeat("A", 2<<20) + `"}`
+	resp, err := http.Post(ts.URL+"/v1/designs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("2 MiB body: status %d (%s), want 413", resp.StatusCode, data)
+	}
+}
+
 // TestShardedJobMatchesSinglePool: a job asking for sharded evaluation
 // must design exactly the same protein as the default single-pool job —
 // shards are a throughput knob, never a scoring one.
